@@ -57,9 +57,8 @@ func allocProbeKernel() *isa.Program {
 	return b.MustProgram()
 }
 
-// newAllocCtx assembles a runContext the way Run does, with the
-// given collectors.
-func newAllocCtx(t testing.TB, collectors ...Collector) (*runContext, Launch) {
+// newAllocCtx assembles a runContext the way Run does.
+func newAllocCtx(t testing.TB) (*runContext, Launch) {
 	t.Helper()
 	c := cfg()
 	prog := allocProbeKernel()
@@ -75,64 +74,63 @@ func newAllocCtx(t testing.TB, collectors ...Collector) (*runContext, Launch) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	segs := []int{c.MinSegmentBytes}
 	ctx := &runContext{
-		cfg:        c,
-		launch:     l,
-		mem:        NewMemory(1 << 20),
-		banks:      bsim,
-		coal:       []*coalesce.Sim{csim},
-		segs:       []int{c.MinSegmentBytes},
-		collectors: collectors,
-		maxInstr:   1 << 40,
+		cfg:      c,
+		launch:   l,
+		mem:      NewMemory(1 << 20),
+		banks:    bsim,
+		coal:     []*coalesce.Sim{csim},
+		segs:     segs,
+		stats:    newStatsCollector(l, nil, segs),
+		maxInstr: 1 << 40,
 	}
 	ctx.budget.Store(ctx.maxInstr)
 	return ctx, l
 }
 
-// TestSteadyStateZeroAllocs: with no collectors attached, re-running
-// a block on a warmed worker performs zero heap allocations — the
+// runBlockInto runs block 0 on w, recording into bs. Reusing one
+// shard across calls lets its counters accumulate; only allocations
+// are measured.
+func runBlockInto(t testing.TB, w *worker, bs *blockStats) {
+	if _, err := w.runBlock(0, bs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSteadyStateZeroAllocs: re-running a block on a warmed worker
+// into an existing stats shard performs zero heap allocations — the
 // engine's per-instruction path (step, masks, bank conflicts,
-// coalescing, hookless recording) is allocation-free.
+// coalescing, hookless recording, stats accumulation) is
+// allocation-free.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	ctx, _ := newAllocCtx(t)
 	w := &worker{ctx: ctx}
-	if _, _, err := w.runBlock(0); err != nil { // warm-up: builds arenas
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		if _, _, err := w.runBlock(0); err != nil {
-			t.Fatal(err)
-		}
-	})
+	bs := ctx.stats.shard()
+	runBlockInto(t, w, bs) // warm-up: builds arenas and the shard's stages
+	avg := testing.AllocsPerRun(50, func() { runBlockInto(t, w, bs) })
 	if avg != 0 {
 		t.Fatalf("steady-state block execution allocates %.1f times per block; want 0", avg)
 	}
 }
 
-// TestSteadyStateCollectorAllocs: with the built-in stats collector
-// attached and its per-block sink recycled through Merge (as Run's
-// steady state across launches does via the pool), execution stays
-// allocation-free up to pool jitter.
+// TestSteadyStateCollectorAllocs: with each block's stats shard
+// taken from the pool and folded into the run totals by merge (which
+// recycles it, as Run's steady state across launches does), execution
+// stays allocation-free up to pool jitter.
 func TestSteadyStateCollectorAllocs(t *testing.T) {
-	sc := newStatsCollector(Launch{Grid: 4, Block: 128}, nil, []int{32})
-	ctx, _ := newAllocCtx(t, sc)
+	ctx, _ := newAllocCtx(t)
 	w := &worker{ctx: ctx}
-	nb, bcs, err := w.runBlock(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Merge(0, bcs[0], nb); err != nil { // seeds the sink pool
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		nb, bcs, err := w.runBlock(0)
+	runMerged := func() {
+		bs := ctx.stats.shard()
+		nb, err := w.runBlock(0, bs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sc.Merge(0, bcs[0], nb); err != nil {
-			t.Fatal(err)
-		}
-	})
+		ctx.stats.merge(0, bs, nb)
+	}
+	runMerged() // seeds the shard pool
+	avg := testing.AllocsPerRun(50, runMerged)
 	// sync.Pool may shed its cache across a GC cycle; allow one stray
 	// refill but nothing per-step.
 	if avg > 1 {
@@ -148,17 +146,14 @@ func TestSteadyStateCollectorAllocs(t *testing.T) {
 func TestSteadyStateZeroAllocsWithMetrics(t *testing.T) {
 	ctx, _ := newAllocCtx(t)
 	w := &worker{ctx: ctx}
-	if _, _, err := w.runBlock(0); err != nil { // warm-up: builds arenas
-		t.Fatal(err)
-	}
+	bs := ctx.stats.shard()
+	runBlockInto(t, w, bs) // warm-up: builds arenas and the shard's stages
 	reg := obs.NewRegistry()
 	blocks := reg.NewCounter("test_blocks_total", "")
 	lat := reg.NewHistogram("test_block_seconds", "", obs.DefLatencyBuckets)
 	avg := testing.AllocsPerRun(50, func() {
 		start := time.Now()
-		if _, _, err := w.runBlock(0); err != nil {
-			t.Fatal(err)
-		}
+		runBlockInto(t, w, bs)
 		blocks.Inc()
 		lat.Observe(time.Since(start).Seconds())
 	})

@@ -9,6 +9,19 @@
 // program's division into stages by synchronization barriers
 // (paper Fig. 1, "Info extractor" inputs).
 //
+// # Statistics
+//
+// Each block records into its own pooled blockStats shard: one
+// StepTrace per executed warp instruction (the instruction plus its
+// bank-conflict and coalescing outcome) and one stage close per
+// barrier release. After the workers join, Run folds the shards in
+// ascending block order, so Stats is bit-identical at every
+// Options.Parallelism. The homogeneous-block replay engine (replay.go)
+// fills a block's shard from its class's canonical shard instead of
+// re-deriving it. Options.GlobalAccessHook is the one per-access
+// observer: a hooked run executes on one worker and calls the hook
+// inline, in block and program order.
+//
 // # Hot-path allocation contract
 //
 // The simulator's throughput rests on its inner loops allocating
@@ -31,12 +44,12 @@
 // The annotated roots are Warp.Step and Warp.stepRun (the per-
 // instruction interpreter), worker.leanBlock (the homogeneous-block
 // lean pass), bank.Sim.Transactions, coalesce.Sim.HalfWarpInto (the
-// per-access memory models), and statsCollector.Merge (the per-block
+// per-access memory models), and statsCollector.merge (the per-block
 // stats fold).
 //
 // Where a reachable line deliberately allocates — amortized growth
 // into caller-owned scratch, a cold fallback the engine never takes,
-// opt-in journaling — it carries //gpuperf:alloc-ok <why>. The
+// the opt-in access hook — it carries //gpuperf:alloc-ok <why>. The
 // justification is mandatory (the analyzer flags a bare directive),
 // so every exception in the tree documents why the invariant
 // legitimately bends there. Constructs inside a `return` that yields

@@ -11,8 +11,8 @@ import (
 )
 
 // This file implements homogeneous-block replay: the engine-path
-// execution mode (no access hook, no foreign collectors, replay not
-// disabled) that exploits the redundancy of regular kernels, whose
+// execution mode (no access hook, replay not disabled) that exploits
+// the redundancy of regular kernels, whose
 // thousands of blocks execute identical instruction streams over
 // identically-shaped address patterns.
 //
@@ -26,8 +26,7 @@ import (
 // interleaved instruction stream, active masks, and the shape of
 // every memory access — while recording an undo log of its global
 // stores. On a signature hit the canonical block's per-block Stats
-// shard is cloned into the Collector merge layer and the block is
-// done. On a miss the undo log rewinds the block's global stores and
+// shard is copied into the block's own shard and the block is done. On a miss the undo log rewinds the block's global stores and
 // the block re-runs on the ordinary live path, which derives its
 // stats shard the usual way; that shard becomes the class canonical.
 // Misses are therefore twice as expensive as live simulation, but a
@@ -396,16 +395,17 @@ func (w *worker) foldEnvelope(a0, lo, hi uint32) {
 // runBlockEngine executes one block on the engine path: a lean pass
 // (batched functional execution folding the block signature and
 // logging store undos), then replay on a hit or an unwind-and-re-run
-// on a miss. Scheduling (warp order, barrier staging, budget
+// on a miss; either way the block's statistics land in the zeroed
+// shard bs. Scheduling (warp order, barrier staging, budget
 // accounting, error cases) mirrors runBlock exactly.
-func (w *worker) runBlockEngine(blockID int) (int, []BlockCollector, error) {
+func (w *worker) runBlockEngine(blockID int, bs *blockStats) (int, error) {
 	rs := w.ctx.replay
 	if w.engMisses >= engineFallbackMisses && w.engHits == 0 {
 		rs.liveBlocks.Add(1)
-		return w.runBlock(blockID)
+		return w.runBlock(blockID, bs)
 	}
-	if err := w.initBlock(blockID); err != nil {
-		return 0, nil, err
+	if err := w.initBlock(blockID, bs); err != nil {
+		return 0, err
 	}
 	e := &w.eng
 	e.reset()
@@ -414,14 +414,14 @@ func (w *worker) runBlockEngine(blockID int) (int, []BlockCollector, error) {
 	}
 	// varBS accumulates the block's data-derived (variant) memory
 	// statistics during the lean pass.
-	varBS := w.ctx.collectors[0].(*statsCollector).Block(blockID).(*blockStats)
+	varBS := w.ctx.stats.shard()
 	barriers, err := w.leanBlock(varBS)
 	for _, warp := range w.warps {
 		warp.undo = nil
 	}
 	if err != nil {
 		varBS.release()
-		return 0, nil, err
+		return 0, err
 	}
 	rs.batchedRuns.Add(e.runs)
 	rs.batchedInstrs.Add(e.instrs)
@@ -432,11 +432,10 @@ func (w *worker) runBlockEngine(blockID int) (int, []BlockCollector, error) {
 	rs.mu.RUnlock()
 	if canon != nil {
 		w.engHits++
-		bs := w.bcs[0].(*blockStats)
 		bs.copyFrom(canon)
 		bs.add(varBS)
 		varBS.release()
-		return barriers, w.bcs, nil
+		return barriers, nil
 	}
 	w.engMisses++
 
@@ -453,13 +452,13 @@ func (w *worker) runBlockEngine(blockID int) (int, []BlockCollector, error) {
 		words[e.undo[i]] = e.undo[i+1]
 	}
 	w.avail += e.charged
-	w.bcs[0].(*blockStats).release()
-	barriers, bcs, err := w.runBlock(blockID)
+	// The lean pass recorded only into varBS, so bs is still zeroed.
+	barriers, err = w.runBlock(blockID, bs)
 	if err != nil {
 		varBS.release()
-		return 0, nil, err
+		return 0, err
 	}
-	c := bcs[0].(*blockStats).clone()
+	c := bs.clone()
 	c.sub(varBS)
 	varBS.release()
 	rs.mu.Lock()
@@ -469,7 +468,7 @@ func (w *worker) runBlockEngine(blockID int) (int, []BlockCollector, error) {
 	// A concurrent worker may have inserted the same class first; its
 	// canonical is identical by construction, ours is dropped.
 	rs.mu.Unlock()
-	return barriers, bcs, nil
+	return barriers, nil
 }
 
 // leanBlock runs the current block functionally to completion,
@@ -553,7 +552,7 @@ func (w *worker) leanBlock(varBS *blockStats) (int, error) {
 				e.charged++
 				w.foldStep()
 				if variant[w.info.PC] {
-					varBS.Step(stage, w.buildTrace())
+					varBS.step(stage, w.buildTrace())
 				}
 				if w.info.Barrier {
 					w.atBarrier[wi] = true

@@ -72,9 +72,10 @@ type Options struct {
 	// half-warp access: the issuing block, whether it was a load,
 	// and the active lanes' byte addresses (valid only during the
 	// call). Used by cache-replay experiments (paper Fig. 12's
-	// texture-cache variants). Calls are serialized and delivered in
-	// ascending block order regardless of Parallelism, so stateful
-	// consumers observe the same stream a serial run produces.
+	// texture-cache variants). A hooked run executes on one worker
+	// whatever Parallelism says, calling the hook inline: calls come
+	// in ascending block order and in program order within a block,
+	// so stateful consumers observe the same stream at any setting.
 	GlobalAccessHook func(blockID int, load bool, addrs []uint32)
 	// Parallelism is the number of worker goroutines the grid's
 	// blocks are sharded across. 0 (the default) uses
@@ -83,18 +84,15 @@ type Options struct {
 	// produces bit-identical Stats: per-block statistics are merged
 	// in ascending block-ID order after the workers join.
 	Parallelism int
-	// Collectors are additional statistics sinks driven alongside the
-	// built-in Stats collector; they receive every execution event
-	// and are merged in block order (see Collector).
-	Collectors []Collector
 	// DisableBlockReplay forces every block through live per-step
 	// simulation. By default the engine detects blocks whose
 	// instruction stream and address shape match a previously
 	// executed block's signature and replays that block's stats shard
 	// instead of re-deriving it (see replay.go) — functional
 	// execution and the returned Stats are bit-identical either way.
-	// Replay is bypassed automatically when a GlobalAccessHook or
-	// extra Collectors are armed, since both observe per-step events.
+	// Replay is bypassed automatically when a GlobalAccessHook is
+	// armed, since the hook observes every live access; such a run
+	// also executes on one worker.
 	DisableBlockReplay bool
 	// VerifyBlockIsolation enables the cross-block sharing detector:
 	// the run fails if a block reads or writes a global-memory word
@@ -184,14 +182,13 @@ func RunContext(ctx context.Context, cfg gpu.Config, l Launch, mem *Memory, opt 
 	if workers > l.Grid {
 		workers = l.Grid
 	}
-	if rc.hook != nil && workers > 1 {
-		rc.dispatch = newHookDispatcher(rc.hook, workers)
+	if rc.hook != nil {
+		workers = 1 // the hook sees accesses in block and program order
 	}
 
-	sc := newStatsCollector(l, opt.Regions, rc.segs)
-	rc.collectors = append([]Collector{sc}, opt.Collectors...)
+	rc.stats = newStatsCollector(l, opt.Regions, rc.segs)
 
-	if !opt.DisableBlockReplay && rc.hook == nil && len(opt.Collectors) == 0 {
+	if !opt.DisableBlockReplay && rc.hook == nil {
 		maxA := cfg.MaxSegmentBytes
 		for _, s := range rc.segs {
 			if s > maxA {
@@ -218,14 +215,10 @@ func RunContext(ctx context.Context, cfg gpu.Config, l Launch, mem *Memory, opt 
 	}
 	// Deterministic join: fold every block back in ascending block
 	// order, whatever order the workers finished in.
-	for ci, c := range rc.collectors {
-		for b := 0; b < l.Grid; b++ {
-			if err := c.Merge(b, results[b][ci], barriers[b]); err != nil {
-				return nil, err
-			}
-		}
+	for b := 0; b < l.Grid; b++ {
+		rc.stats.merge(b, results[b], barriers[b])
 	}
-	st := sc.finish()
+	st := rc.stats.finish()
 	if rc.replay != nil {
 		sim := int64(len(rc.replay.classes)) + rc.replay.liveBlocks.Load()
 		st.Engine = EngineStats{

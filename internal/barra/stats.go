@@ -1,7 +1,6 @@
 package barra
 
 import (
-	"fmt"
 	"sync"
 
 	"gpuperf/internal/gpu"
@@ -92,8 +91,8 @@ type Stats struct {
 	Grid, Block int
 
 	// Engine reports how the execution engine produced these stats
-	// (all zero on the live path: hooks armed, foreign collectors, or
-	// replay disabled). The counters are deterministic at a fixed
+	// (all zero on the live path: access hook armed or replay
+	// disabled). The counters are deterministic at a fixed
 	// Parallelism; the per-worker adaptive fallback can shift a few
 	// blocks between simulated and replayed across different worker
 	// counts on irregular workloads. Every other Stats field is
@@ -233,9 +232,10 @@ func deaccumulate(dst, src *StageStats) {
 	dst.WarpsWithWork -= src.WarpsWithWork
 }
 
-// statsCollector is the built-in Collector producing *Stats. Blocks
-// record into index-keyed slices (cheaper than maps in the hot loop);
-// Merge converts to the public map form.
+// statsCollector accumulates a run's *Stats. Each block records into
+// its own blockStats shard of index-keyed slices (cheaper than maps in
+// the hot loop); merge folds the shards in ascending block order and
+// converts to the public map form.
 type statsCollector struct {
 	regions []Region
 	segs    []int // granularities, segs[0] native
@@ -262,7 +262,7 @@ func newStatsCollector(l Launch, regions []Region, segs []int) *statsCollector {
 }
 
 // blockStats is one block's shard of the statistics. Shards are
-// pooled process-wide: Merge returns each folded shard to
+// pooled process-wide: merge returns each folded shard to
 // blockStatsPool, so the paper's rerun-per-figure workflow — many
 // Run calls in one process — stops churning per-block slices after
 // the first launch warms the pool.
@@ -287,7 +287,9 @@ func trafficRow(prev []MemTraffic, n int) []MemTraffic {
 	return prev
 }
 
-func (c *statsCollector) Block(blockID int) BlockCollector {
+// shard takes a zeroed shard sized to c's segments and regions from
+// the pool.
+func (c *statsCollector) shard() *blockStats {
 	bs, _ := blockStatsPool.Get().(*blockStats)
 	if bs == nil {
 		bs = &blockStats{}
@@ -375,8 +377,8 @@ func (b *blockStats) sub(src *blockStats) {
 	}
 }
 
-// release returns an unmerged shard to the pool (the replay path
-// abandoning a lean pass's shard, or retiring a scratch one).
+// release returns a shard to the pool: merge retiring a folded shard,
+// or the replay path abandoning a lean pass's shard.
 func (b *blockStats) release() {
 	b.c = nil
 	blockStatsPool.Put(b)
@@ -415,7 +417,8 @@ func (c *statsCollector) regionOf(addr uint32) int {
 	return -1
 }
 
-func (b *blockStats) Step(stage int, tr *StepTrace) {
+// step folds one executed warp instruction into the shard.
+func (b *blockStats) step(stage int, tr *StepTrace) {
 	st := b.stage(stage)
 	info := tr.Info
 	st.WarpInstrs++
@@ -471,12 +474,12 @@ func (b *blockStats) Step(stage int, tr *StepTrace) {
 	}
 }
 
-// StageEnd folds the block's per-warp stage work counts into the
+// stageEnd folds the block's per-warp stage work counts into the
 // stage stats. A warp counts as working when it executed at least
 // half as many unskipped non-control instructions as the busiest warp
 // of its block — enough to exclude warps that only ran the guard test
 // and skip branch.
-func (b *blockStats) StageEnd(stage int, workCount []int64) {
+func (b *blockStats) stageEnd(stage int, workCount []int64) {
 	st := b.stage(stage)
 	var max int64
 	for _, c := range workCount {
@@ -492,15 +495,12 @@ func (b *blockStats) StageEnd(stage int, workCount []int64) {
 	}
 }
 
-// Merge folds one finished block's shard into the run totals, in
-// ascending block order (the Collector contract).
+// merge folds one finished block's shard into the run totals and
+// returns the shard to the pool. Calls come in ascending block order,
+// which keeps Stats bit-identical at every Parallelism.
 //
 //gpuperf:noalloc
-func (c *statsCollector) Merge(blockID int, bc BlockCollector, barriers int) error {
-	bs, ok := bc.(*blockStats)
-	if !ok {
-		return fmt.Errorf("barra: foreign BlockCollector %T merged into statsCollector", bc)
-	}
+func (c *statsCollector) merge(blockID int, bs *blockStats, barriers int) {
 	s := c.stats
 	if blockID == 0 {
 		s.Barriers = barriers
@@ -526,9 +526,7 @@ func (c *statsCollector) Merge(blockID int, bc BlockCollector, barriers int) err
 		}
 		s.RegionUseful[reg.Name] += bs.regionUseful[ri]
 	}
-	bs.c = nil
-	blockStatsPool.Put(bs)
-	return nil
+	bs.release()
 }
 
 // finish computes the run totals after all blocks have merged.

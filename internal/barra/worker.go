@@ -24,26 +24,28 @@ const budgetBatch = 8192
 
 // runContext is the immutable state of one Run, shared read-only by
 // every worker: launch, device, simulators (bank and coalesce are
-// stateless), collectors, and the two pieces of cross-worker
-// coordination — the block cursor and the shared instruction budget.
+// stateless), the stats accumulator, and the two pieces of
+// cross-worker coordination — the block cursor and the shared
+// instruction budget.
 type runContext struct {
 	// goCtx is the caller's cancellation context (nil when absent —
 	// tests that assemble a runContext by hand run uncancellable).
-	goCtx      context.Context
-	cfg        gpu.Config
-	launch     Launch
-	mem        *Memory
-	banks      *bank.Sim
-	coal       []*coalesce.Sim // parallel to segs
-	segs       []int           // granularities; segs[0] is the device's native
-	collectors []Collector
+	goCtx  context.Context
+	cfg    gpu.Config
+	launch Launch
+	mem    *Memory
+	banks  *bank.Sim
+	coal   []*coalesce.Sim // parallel to segs
+	segs   []int           // granularities; segs[0] is the device's native
+	stats  *statsCollector
 
-	hook     func(blockID int, load bool, addrs []uint32)
-	dispatch *hookDispatcher // non-nil iff hook set and >1 worker
+	// hook is Options.GlobalAccessHook; a hooked run has one worker,
+	// which calls it inline.
+	hook func(blockID int, load bool, addrs []uint32)
 
 	// replay is the homogeneous-block replay machinery; non-nil iff
-	// the run takes the engine path (no hook, no foreign collectors,
-	// replay not disabled — see replay.go).
+	// the run takes the engine path (no hook, replay not disabled —
+	// see replay.go).
 	replay *replayState
 
 	// maxInstr is the per-run warp-instruction budget
@@ -92,9 +94,9 @@ func (ctx *runContext) cancelled() error {
 
 // worker executes blocks one at a time on its own goroutine. All of
 // its state — shared-memory arena, warp contexts, scheduling scratch,
-// the StepTrace handed to collectors — is reused from block to block,
-// so steady-state execution allocates only the per-block
-// BlockCollectors.
+// the StepTrace scratch — is reused from block to block, so
+// steady-state execution allocates at most each block's stats shard,
+// and that comes from blockStatsPool once earlier runs have merged.
 type worker struct {
 	ctx *runContext
 
@@ -114,11 +116,9 @@ type worker struct {
 	txLists [warpHalves][][]coalesce.Transaction
 	txBufs  [warpHalves][][]coalesce.Transaction
 
-	curBlock int      // block in flight
-	avail    int64    // unspent instruction-budget reservation
-	log      *hookLog // per-block hook journal (nil when hook inline/absent)
-
-	bcs []BlockCollector // collectors of the block in flight
+	curBlock int         // block in flight
+	avail    int64       // unspent instruction-budget reservation
+	bs       *blockStats // stats shard of the block in flight
 
 	// eng is the replay signature and undo scratch of the engine
 	// path (see replay.go); unused on the live path.
@@ -129,9 +129,11 @@ type worker struct {
 	engHits, engMisses int
 }
 
-// initBlock (re)binds the worker's scratch state to blockID.
-func (w *worker) initBlock(blockID int) error {
+// initBlock (re)binds the worker's scratch state to blockID, whose
+// statistics record into bs.
+func (w *worker) initBlock(blockID int, bs *blockStats) error {
 	w.curBlock = blockID
+	w.bs = bs
 	l := w.ctx.launch
 	nw := l.WarpsPerBlock()
 	if w.shared == nil {
@@ -167,23 +169,14 @@ func (w *worker) initBlock(blockID int) error {
 		clear(w.atBarrier)
 		clear(w.workCount)
 	}
-	w.bcs = w.bcs[:0]
-	for _, c := range w.ctx.collectors {
-		w.bcs = append(w.bcs, c.Block(blockID))
-	}
-	if w.ctx.hook != nil && w.ctx.dispatch != nil {
-		w.log = newHookLog(blockID)
-	}
 	return nil
 }
 
-// runBlock executes one block to completion and returns its barrier
-// count plus the finished per-collector block sinks. The returned
-// slice is the worker's reusable scratch — the caller must copy it
-// before the next runBlock call.
-func (w *worker) runBlock(blockID int) (int, []BlockCollector, error) {
-	if err := w.initBlock(blockID); err != nil {
-		return 0, nil, err
+// runBlock executes one block to completion, recording its
+// statistics into the zeroed shard bs, and returns its barrier count.
+func (w *worker) runBlock(blockID int, bs *blockStats) (int, error) {
+	if err := w.initBlock(blockID, bs); err != nil {
+		return 0, err
 	}
 	l := w.ctx.launch
 
@@ -199,19 +192,19 @@ func (w *worker) runBlock(blockID int) (int, []BlockCollector, error) {
 			for {
 				if w.avail == 0 {
 					if w.ctx.failed.Load() {
-						return 0, nil, errCancelled
+						return 0, errCancelled
 					}
 					if err := w.ctx.cancelled(); err != nil {
-						return 0, nil, err
+						return 0, err
 					}
 					w.avail = w.ctx.reserveBudget()
 					if w.avail == 0 {
-						return 0, nil, fmt.Errorf("barra: instruction budget exhausted (%d warp instructions across the run) — runaway kernel %q?",
+						return 0, fmt.Errorf("barra: instruction budget exhausted (%d warp instructions across the run) — runaway kernel %q?",
 							w.ctx.maxInstr, l.Prog.Name)
 					}
 				}
 				if err := warp.Step(&w.info); err != nil {
-					return 0, nil, err
+					return 0, err
 				}
 				w.avail--
 				w.record(stage, wi)
@@ -246,7 +239,7 @@ func (w *worker) runBlock(blockID int) (int, []BlockCollector, error) {
 			if anyExited {
 				// A warp exited while siblings wait at a barrier:
 				// undefined behaviour on hardware, a bug here.
-				return 0, nil, fmt.Errorf("barra: %q: warps wait at a barrier after others exited", l.Prog.Name)
+				return 0, fmt.Errorf("barra: %q: warps wait at a barrier after others exited", l.Prog.Name)
 			}
 			// Barrier release: everyone advances to the next stage.
 			clear(w.atBarrier)
@@ -256,47 +249,37 @@ func (w *worker) runBlock(blockID int) (int, []BlockCollector, error) {
 			continue
 		}
 		if !ranAny {
-			return 0, nil, fmt.Errorf("barra: deadlock in %q: warps blocked at a barrier while others exited", l.Prog.Name)
+			return 0, fmt.Errorf("barra: deadlock in %q: warps blocked at a barrier while others exited", l.Prog.Name)
 		}
 	}
 	w.stageEnd(stage)
-
-	if w.log != nil {
-		w.ctx.dispatch.submit(w.log)
-		w.log = nil
-	}
-	return barriers, w.bcs, nil
+	return barriers, nil
 }
 
-// stageEnd closes a stage for every collector and resets the per-warp
-// work counters.
+// stageEnd closes a stage in the block's stats shard and resets the
+// per-warp work counters.
 func (w *worker) stageEnd(stage int) {
-	for _, bc := range w.bcs {
-		bc.StageEnd(stage, w.workCount)
-	}
+	w.bs.stageEnd(stage, w.workCount)
 	clear(w.workCount)
 }
 
 // record derives the memory-system outcome of the step just executed
-// into the worker's StepTrace scratch and feeds it to the block's
-// collectors.
+// into the worker's StepTrace scratch and folds it into the block's
+// stats shard.
 func (w *worker) record(stage, wi int) {
 	info := &w.info
 	op := info.In.Op
 	if info.ActiveCount > 0 && !isa.IsControl(op) && op != isa.OpNOP {
 		w.workCount[wi]++
 	}
-	tr := w.buildTrace()
-	for _, bc := range w.bcs {
-		bc.Step(stage, tr)
-	}
+	w.bs.step(stage, w.buildTrace())
 }
 
 // buildTrace derives the memory-system outcome of the step described
 // by w.info (bank conflicts, coalesced transactions at every
 // granularity) into the worker's StepTrace scratch. It is shared by
-// the live path (per executed step) and the replay materializer (per
-// journaled event): both must accumulate identically.
+// the live path (per executed step) and the replay lean pass (per
+// variant memory step): both must accumulate identically.
 func (w *worker) buildTrace() *StepTrace {
 	info := &w.info
 	tr := &w.trace
@@ -340,11 +323,8 @@ func (w *worker) buildTrace() *StepTrace {
 			if len(addrs) == 0 {
 				continue
 			}
-			switch {
-			case w.log != nil:
-				w.log.add(op == isa.OpGLD, addrs)
-			case w.ctx.hook != nil:
-				w.ctx.hook(w.curBlock, op == isa.OpGLD, addrs) //gpuperf:alloc-ok opt-in journaling hook; hooked runs are outside the 0-alloc pin
+			if w.ctx.hook != nil {
+				w.ctx.hook(w.curBlock, op == isa.OpGLD, addrs) //gpuperf:alloc-ok opt-in access hook; hooked runs are outside the 0-alloc pin
 			}
 			txs := w.txLists[half][:0]
 			for si, c := range w.ctx.coal {
@@ -366,16 +346,12 @@ func (w *worker) gatherHalf(half int) []uint32 {
 }
 
 // execute shards the grid across the given number of workers and
-// returns each block's barrier count and finished collectors, indexed
-// by block ID.
-func (ctx *runContext) execute(workers int) ([]int, [][]BlockCollector, error) {
+// returns each block's barrier count and finished stats shard,
+// indexed by block ID.
+func (ctx *runContext) execute(workers int) ([]int, []*blockStats, error) {
 	grid := ctx.launch.Grid
 	barriers := make([]int, grid)
-	results := make([][]BlockCollector, grid)
-	// One flat arena holds every block's collector slice: two
-	// allocations per run instead of one per block.
-	ncol := len(ctx.collectors)
-	arena := make([]BlockCollector, grid*ncol)
+	results := make([]*blockStats, grid)
 
 	var (
 		wg       sync.WaitGroup
@@ -403,30 +379,25 @@ func (ctx *runContext) execute(workers int) ([]int, [][]BlockCollector, error) {
 					return
 				}
 				var (
+					bs  = ctx.stats.shard()
 					nb  int
-					bcs []BlockCollector
 					err error
 				)
 				if ctx.replay != nil {
-					nb, bcs, err = w.runBlockEngine(b)
+					nb, err = w.runBlockEngine(b, bs)
 				} else {
-					nb, bcs, err = w.runBlock(b)
+					nb, err = w.runBlock(b, bs)
 				}
 				if err != nil {
 					fail(err)
 					return
 				}
 				barriers[b] = nb
-				slot := arena[b*ncol : (b+1)*ncol : (b+1)*ncol]
-				copy(slot, bcs)
-				results[b] = slot
+				results[b] = bs
 			}
 		}()
 	}
 	wg.Wait()
-	if ctx.dispatch != nil {
-		ctx.dispatch.close()
-	}
 	if ctx.failed.Load() {
 		if firstErr == nil {
 			firstErr = errCancelled

@@ -229,12 +229,8 @@ func RunContext(ctx context.Context, cfg gpu.Config, l barra.Launch, mem *barra.
 	return runBudget(ctx, cfg, l, mem, 0)
 }
 
-// RunBudget is Run with an instruction budget (0 = default 4e9)
-// guarding against runaway kernels.
-func RunBudget(cfg gpu.Config, l barra.Launch, mem *barra.Memory, budget int64) (Result, error) {
-	return runBudget(context.Background(), cfg, l, mem, budget)
-}
-
+// runBudget is RunContext with an instruction budget (0 = default
+// 4e9) guarding against runaway kernels.
 func runBudget(ctx context.Context, cfg gpu.Config, l barra.Launch, mem *barra.Memory, budget int64) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err

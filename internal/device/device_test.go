@@ -374,7 +374,7 @@ func TestRunBudgetStopsRunaway(t *testing.T) {
 	br := b.Bra()
 	b.SetTarget(br, 0)
 	b.Exit()
-	_, err := RunBudget(gpu.GTX285(), barra.Launch{Prog: b.MustProgram(), Grid: 1, Block: 32},
+	_, err := runBudget(context.Background(), gpu.GTX285(), barra.Launch{Prog: b.MustProgram(), Grid: 1, Block: 32},
 		barra.NewMemory(64), 5000)
 	if err == nil {
 		t.Fatal("runaway kernel not stopped")

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"gpuperf/internal/atomicfile"
 )
 
 // ErrNotFound reports a submission id absent from the store (never
@@ -168,21 +170,7 @@ func (s *Store) persist(sub *Submission) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(s.cfg.Dir, "tmp-subm-*")
-	if err != nil {
-		return fmt.Errorf("ingest: persist submission: %w", err)
-	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("ingest: persist submission: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("ingest: persist submission: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := atomicfile.Write(path, raw, 0o600); err != nil {
 		return fmt.Errorf("ingest: persist submission: %w", err)
 	}
 	return nil

@@ -471,27 +471,15 @@ func (e *Estimate) Report() string {
 	return b.String()
 }
 
-// Predict is a convenience wrapper: run barra, then Analyze — the
-// full Fig. 1 workflow in one call. The memory is consumed by the
-// functional run. opt.Parallelism shards the functional run across
-// host cores (the statistics are bit-identical at any setting); the
-// remaining options thread through to barra.Run unchanged.
-func Predict(cal *timing.Calibration, l barra.Launch, mem *barra.Memory, opt *barra.Options) (*Estimate, *barra.Stats, error) {
-	return PredictContext(context.Background(), cal, l, mem, opt)
-}
-
-// PredictContext is Predict with cancellation: the functional run
-// aborts promptly (between blocks / budget refills) once ctx is done.
-func PredictContext(ctx context.Context, cal *timing.Calibration, l barra.Launch, mem *barra.Memory, opt *barra.Options) (*Estimate, *barra.Stats, error) {
-	return PredictWith(ctx, cal, l, mem, opt, Overrides{})
-}
-
 // PredictWith runs the functional simulation and evaluates the model
-// under counterfactual overrides — the resimulate-then-transform
-// entry point for callers without a prior run's statistics. Callers
-// that already hold a run's Stats should use AnalyzeWith instead:
-// every override is a pure stat transform, so one simulation can
-// answer any number of what-if questions.
+// under counterfactual overrides (Overrides{} for none) — the full
+// Fig. 1 workflow in one call, for callers without a prior run's
+// statistics. The memory is consumed by the functional run, which
+// aborts promptly once ctx is done; opt threads through to
+// barra.RunContext unchanged. Callers that already hold a run's Stats
+// should use AnalyzeWith instead: every override is a pure stat
+// transform, so one simulation can answer any number of what-if
+// questions.
 func PredictWith(ctx context.Context, cal *timing.Calibration, l barra.Launch, mem *barra.Memory, opt *barra.Options, ov Overrides) (*Estimate, *barra.Stats, error) {
 	stats, err := barra.RunContext(ctx, cal.Config(), l, mem, opt)
 	if err != nil {
@@ -525,12 +513,4 @@ func (e *Estimate) GFLOPS(flops int64) float64 {
 		return 0
 	}
 	return float64(flops) / e.TotalSeconds / 1e9
-}
-
-// PeakFraction reports predicted ClassII instruction throughput as a
-// fraction of the configured peak — the paper's "sustained
-// instruction throughput is 81% of peak" style diagnostic.
-func PeakFraction(cal *timing.Calibration, warps int) float64 {
-	cfg := cal.Config()
-	return cal.InstrThroughput(isa.ClassII, warps) / cfg.PeakInstrThroughput(cfg.SPsPerSM)
 }

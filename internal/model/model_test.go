@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -68,7 +69,7 @@ func streamKernel(t *testing.T, threads int) *isa.Program {
 // simulator and returns both.
 func predictAndMeasure(t *testing.T, c *timing.Calibration, l barra.Launch, memBytes int) (*Estimate, device.Result) {
 	t.Helper()
-	est, _, err := Predict(c, l, barra.NewMemory(memBytes), nil)
+	est, _, err := PredictWith(context.Background(), c, l, barra.NewMemory(memBytes), nil, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestStageSerialization(t *testing.T) {
 	}
 	b.Exit()
 	l := barra.Launch{Prog: b.MustProgram(), Grid: 30, Block: 128}
-	est, _, err := Predict(c, l, barra.NewMemory(4096), nil)
+	est, _, err := PredictWith(context.Background(), c, l, barra.NewMemory(4096), nil, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestStageSerialization(t *testing.T) {
 func TestOverlappedTotal(t *testing.T) {
 	c := cal(t)
 	l := barra.Launch{Prog: aluKernel(t), Grid: 60, Block: 256}
-	est, _, err := Predict(c, l, barra.NewMemory(4096), nil)
+	est, _, err := PredictWith(context.Background(), c, l, barra.NewMemory(4096), nil, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestDiagnostics(t *testing.T) {
 	c := cal(t)
 	// Conflicted shared kernel: factor ≈ 8, shared-bound.
 	l := barra.Launch{Prog: conflictedSharedKernel(t), Grid: 60, Block: 256}
-	est, _, err := Predict(c, l, barra.NewMemory(4096), nil)
+	est, _, err := PredictWith(context.Background(), c, l, barra.NewMemory(4096), nil, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestDiagnostics(t *testing.T) {
 
 	// Dense ALU kernel: high density.
 	l2 := barra.Launch{Prog: aluKernel(t), Grid: 60, Block: 256}
-	est2, _, err := Predict(c, l2, barra.NewMemory(4096), nil)
+	est2, _, err := PredictWith(context.Background(), c, l2, barra.NewMemory(4096), nil, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestWarpDeration(t *testing.T) {
 	b.SetTarget(skip, end)
 	b.Exit()
 	l := barra.Launch{Prog: b.MustProgram(), Grid: 30, Block: 128}
-	est, _, err := Predict(c, l, barra.NewMemory(4096), nil)
+	est, _, err := PredictWith(context.Background(), c, l, barra.NewMemory(4096), nil, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,8 +341,8 @@ func TestOverlapBracket(t *testing.T) {
 // a pure-ALU kernel is not.
 func TestOverlapSensitive(t *testing.T) {
 	c := cal(t)
-	est, _, err := Predict(c, barra.Launch{Prog: aluKernel(t), Grid: 60, Block: 256},
-		barra.NewMemory(4096), nil)
+	est, _, err := PredictWith(context.Background(), c, barra.Launch{Prog: aluKernel(t), Grid: 60, Block: 256},
+		barra.NewMemory(4096), nil, Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}

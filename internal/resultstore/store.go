@@ -20,6 +20,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"gpuperf/internal/atomicfile"
 )
 
 // Status classifies how one Do call was served.
@@ -329,24 +331,7 @@ func (s *Store) diskPut(key string, body []byte) error {
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	path := SlotPath(s.cfg.Dir, key)
-	tmp, err := os.CreateTemp(s.cfg.Dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := atomicfile.Write(SlotPath(s.cfg.Dir, key), data, 0o644); err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"gpuperf/internal/atomicfile"
 	"gpuperf/internal/gpu"
 	"gpuperf/internal/isa"
 )
@@ -52,24 +53,7 @@ func (c *Calibration) SaveFile(path string) error {
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("timing: save calibration: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("timing: save calibration: %w", err)
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return fmt.Errorf("timing: save calibration: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("timing: save calibration: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := atomicfile.Write(path, data, 0o644); err != nil {
 		return fmt.Errorf("timing: save calibration: %w", err)
 	}
 	return nil

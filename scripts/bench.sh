@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# bench.sh — run the engine benchmark suite and emit BENCH_7.json.
+# bench.sh — run the engine benchmark suite and emit a JSON record.
 #
 # Runs BenchmarkRunParallel (end-to-end blocks/s; its sub-benchmarks
 # cover every leg of the matrix: kernel ∈ {matmul16, spmv-ell} ×
@@ -7,7 +7,9 @@
 # microbenchmarks (warp step, bank conflicts, coalescing) with
 # -benchmem, and converts the results to a JSON array of
 # {name, ns_per_op, ..., B_per_op, allocs_per_op} records so CI and
-# future PRs can diff throughput and allocation counts.
+# future PRs can diff throughput and allocation counts. The default
+# output, bench-out.json, is gitignored so local and CI runs never
+# overwrite a committed BENCH_*.json record; pass OUT to write one.
 #
 # The replay/noreplay pairs measure the homogeneous-block replay
 # engine against forced live simulation on the same inputs; the
@@ -16,12 +18,12 @@
 # Usage:
 #   scripts/bench.sh               # full run (benchtime 2x for the big bench)
 #   BENCHTIME=1x scripts/bench.sh  # CI smoke run
-#   OUT=foo.json scripts/bench.sh
+#   OUT=BENCH_8.json scripts/bench.sh  # write a record to commit
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-2x}"
-OUT="${OUT:-BENCH_7.json}"
+OUT="${OUT:-bench-out.json}"
 TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
