@@ -66,10 +66,29 @@ func (s *Sim) Transactions(addrs []uint32) int {
 }
 
 // transactionsHalfWarp is the allocation-free conflict count for up
-// to 16 lanes: dedup the words into a fixed array, then take the
-// densest bank by an O(n²) scan — at n ≤ 16 that is at most 256
-// compares on registers, far cheaper than building per-bank tables.
+// to 16 lanes. The common conflict-free access exits early: when
+// every lane falls in its own bank (a bank bitmask shows no repeat),
+// the words are distinct too and one transaction serves them all.
 func (s *Sim) transactionsHalfWarp(addrs []uint32) int {
+	if s.banks <= 64 {
+		var seen uint64
+		for _, a := range addrs {
+			bit := uint64(1) << (a / uint32(s.wordBytes) % uint32(s.banks))
+			if seen&bit != 0 {
+				return s.densestBank(addrs)
+			}
+			seen |= bit
+		}
+		return 1
+	}
+	return s.densestBank(addrs)
+}
+
+// densestBank is the general half-warp count: dedup the words into a
+// fixed array, then take the densest bank by an O(n²) scan — at
+// n ≤ 16 that is at most 256 compares on registers, far cheaper than
+// building per-bank tables.
+func (s *Sim) densestBank(addrs []uint32) int {
 	var words [gpu.HalfWarp]uint32
 	n := 0
 outer:

@@ -1,6 +1,7 @@
 package bank
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -198,5 +199,29 @@ func TestConflictBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHalfWarpMatchesLarge checks the half-warp path, conflict-free
+// early exit included, against the per-bank-table path on random
+// address sets of up to 16 lanes, across bank counts on both sides of
+// the 64-bank bitmask limit and both word sizes.
+func TestHalfWarpMatchesLarge(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, geom := range []struct{ banks, word int }{{16, 4}, {17, 4}, {32, 4}, {16, 8}, {64, 4}, {65, 4}} {
+		s := mustSim(t, geom.banks, geom.word)
+		for iter := 0; iter < 5000; iter++ {
+			addrs := make([]uint32, 1+rng.Intn(gpu.HalfWarp))
+			// A small span forces repeats (broadcasts and conflicts);
+			// a large one mostly yields distinct banks.
+			span := []int{8, 64, 1 << 12}[rng.Intn(3)]
+			for i := range addrs {
+				addrs[i] = uint32(rng.Intn(span * geom.word))
+			}
+			if got, want := s.transactionsHalfWarp(addrs), s.transactionsLarge(addrs); got != want {
+				t.Fatalf("%d banks × %d B, addrs %v: half-warp path %d, table path %d",
+					geom.banks, geom.word, addrs, got, want)
+			}
+		}
 	}
 }

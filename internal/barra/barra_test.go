@@ -587,19 +587,29 @@ func TestWarpsWithWorkTracking(t *testing.T) {
 }
 
 func TestStatsReport(t *testing.T) {
+	// Each thread loads and stores global word ctaid*ntid+tid, so the
+	// two blocks write disjoint words as the Memory contract requires;
+	// shared memory is per block and indexed by tid.
 	b := kbuild.New("report")
 	b.SharedBytes(256)
 	tid := b.Reg()
-	addr := b.Reg()
+	flat := b.Reg()
+	ntid := b.Reg()
+	saddr := b.Reg()
+	gaddr := b.Reg()
 	v := b.Reg()
 	b.S2R(tid, isa.SRTid)
-	b.ShlImm(addr, tid, 2)
-	b.Gld(v, addr)
-	b.Sst(addr, v)
+	b.S2R(flat, isa.SRCtaid)
+	b.S2R(ntid, isa.SRNtid)
+	b.IMad(flat, flat, ntid, tid)
+	b.ShlImm(saddr, tid, 2)
+	b.ShlImm(gaddr, flat, 2)
+	b.Gld(v, gaddr)
+	b.Sst(saddr, v)
 	b.Bar()
-	b.Sld(v, addr)
+	b.Sld(v, saddr)
 	b.FMad(v, v, v, v)
-	b.Gst(addr, v)
+	b.Gst(gaddr, v)
 	b.Exit()
 	mem := NewMemory(4096)
 	stats, err := Run(cfg(), Launch{Prog: b.MustProgram(), Grid: 2, Block: 64}, mem,

@@ -25,7 +25,6 @@
 package device
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 
@@ -121,35 +120,106 @@ func (r Result) DominantComponent() string {
 	}
 }
 
-// event is one pending simulation action.
+// event is one pending warp wake-up. Events pop in (t, issued, seq)
+// order: by time, then by warp progress (fewest instructions issued
+// first — the hardware's fair round-robin selection; without this,
+// greedy ordering forms convoys that leave issue slots idle), then by
+// insertion order. seq is unique, so the order is strict and total.
+// issued is the warp's count when the event was scheduled; a warp has
+// at most one outstanding event, so that count cannot change while
+// the event is queued and the key never mutates in place.
 type event struct {
-	t    float64
-	seq  int64 // tie-break for determinism
-	warp *simWarp
+	t      float64
+	issued int64
+	seq    int64
+	warp   *simWarp
 }
 
-type eventQueue []event
-
-func (q eventQueue) Len() int { return len(q) }
-
-// Less orders by time, then by warp progress (fewest instructions
-// issued first — the hardware's fair round-robin selection; without
-// this, greedy ordering forms convoys that leave issue slots idle),
-// then by insertion order for determinism. A warp's issued count is
-// stable while its single outstanding event is queued, so the heap
-// key never mutates in place.
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].t != q[j].t {
-		return q[i].t < q[j].t
+func (a *event) before(b *event) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	if q[i].warp.issued != q[j].warp.issued {
-		return q[i].warp.issued < q[j].warp.issued
+	if a.issued != b.issued {
+		return a.issued < b.issued
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() any     { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
+
+// eventQueue is a binary min-heap of events. pop leaves a hole at the
+// root instead of moving the last event up; the next push drops its
+// event into the hole and sifts it down once, so the common "pop a
+// warp, reschedule the same warp" pair walks the heap once, not twice.
+type eventQueue struct {
+	ev   []event
+	hole bool // ev[0] is vacant
+}
+
+func (q *eventQueue) len() int {
+	if q.hole {
+		return len(q.ev) - 1
+	}
+	return len(q.ev)
+}
+
+func (q *eventQueue) push(e event) {
+	if q.hole {
+		q.hole = false
+		q.down(e)
+		return
+	}
+	q.ev = append(q.ev, e)
+	q.up(len(q.ev)-1, e)
+}
+
+// pop returns the least event; the queue must not be empty.
+func (q *eventQueue) pop() event {
+	if q.hole {
+		n := len(q.ev) - 1
+		last := q.ev[n]
+		q.ev = q.ev[:n]
+		if n > 0 {
+			q.down(last)
+		}
+	}
+	q.hole = true
+	return q.ev[0]
+}
+
+// up places e at the vacant index i or above it.
+func (q *eventQueue) up(i int, e event) {
+	ev := q.ev
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&ev[p]) {
+			break
+		}
+		ev[i] = ev[p]
+		i = p
+	}
+	ev[i] = e
+}
+
+// down places e at the vacant root or below it.
+func (q *eventQueue) down(e event) {
+	ev := q.ev
+	n := len(ev)
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && ev[r].before(&ev[c]) {
+			c = r
+		}
+		if !ev[c].before(&e) {
+			break
+		}
+		ev[i] = ev[c]
+		i = c
+	}
+	ev[i] = e
+}
 
 // simWarp wraps a functional warp with scoreboard state.
 type simWarp struct {
@@ -171,20 +241,24 @@ type simWarp struct {
 	done    bool
 }
 
+// simBlock is one resident block. Its storage outlives the block: a
+// drained block goes on its SM's free list and the SM's next block
+// reuses its warps, shared memory and scoreboards.
 type simBlock struct {
 	sm        *simSM
-	warps     []*simWarp
+	warps     []simWarp
+	shared    []uint32
 	atBarrier int
 	live      int
 }
 
 type simSM struct {
-	id       int
 	unitFree [isa.NumClasses]float64
 	smemFree float64
 	cluster  *simCluster
-	resident int // live blocks
-	slots    int
+	// free holds drained blocks for reuse. Without early release it
+	// never holds more than the SM's resident-block slots.
+	free []*simBlock
 }
 
 type simCluster struct {
@@ -294,7 +368,7 @@ func runBudget(ctx context.Context, cfg gpu.Config, l barra.Launch, mem *barra.M
 	}
 	s.sms = make([]*simSM, cfg.NumSMs)
 	for i := range s.sms {
-		s.sms[i] = &simSM{id: i, cluster: s.clus[i/cfg.SMsPerCluster], slots: occRes.Blocks}
+		s.sms[i] = &simSM{cluster: s.clus[i/cfg.SMsPerCluster]}
 	}
 
 	// Initial dispatch: round-robin waves across SMs, up to each
@@ -313,13 +387,13 @@ func runBudget(ctx context.Context, cfg gpu.Config, l barra.Launch, mem *barra.M
 	// Main loop. The cancellation check amortizes over a batch of
 	// events to stay off the per-event path.
 	const ctxCheckEvery = 8192
-	for n := 0; s.queue.Len() > 0; n++ {
+	for n := 0; s.queue.len() > 0; n++ {
 		if n%ctxCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return Result{}, err
 			}
 		}
-		e := heap.Pop(&s.queue).(event)
+		e := s.queue.pop()
 		if e.warp.done || e.warp.waiting {
 			continue
 		}
@@ -333,36 +407,60 @@ func runBudget(ctx context.Context, cfg gpu.Config, l barra.Launch, mem *barra.M
 }
 
 func (s *sim) startBlock(sm *simSM, t float64) error {
-	l := s.launch
 	blockID := s.nextBlk
 	s.nextBlk++
-	nw := l.WarpsPerBlock()
-	shared := make([]uint32, l.Prog.SharedMemBytes/4)
-	blk := &simBlock{sm: sm, live: nw}
-	for wi := 0; wi < nw; wi++ {
-		lanes := l.Block - wi*gpu.WarpSize
-		if lanes > gpu.WarpSize {
-			lanes = gpu.WarpSize
+	var blk *simBlock
+	if n := len(sm.free); n > 0 {
+		// Every warp of a drained block has exited, so none has an
+		// event queued and its state may be overwritten.
+		blk = sm.free[n-1]
+		sm.free = sm.free[:n-1]
+		clear(blk.shared)
+		for i := range blk.warps {
+			w := &blk.warps[i]
+			w.fw.Reset(blockID)
+			clear(w.regReady)
+			*w = simWarp{fw: w.fw, block: blk, regReady: w.regReady}
 		}
-		fw, err := barra.NewWarp(l.Prog, blockID, wi, l.Block, l.Grid, lanes, shared, s.mem)
-		if err != nil {
+	} else {
+		var err error
+		if blk, err = s.newBlock(sm, blockID); err != nil {
 			return err
 		}
-		w := &simWarp{
-			fw:       fw,
-			block:    blk,
-			regReady: make([]float64, l.Prog.RegsPerThread),
-		}
-		blk.warps = append(blk.warps, w)
-		s.schedule(w, t)
 	}
-	sm.resident++
+	blk.atBarrier = 0
+	blk.live = len(blk.warps)
+	for i := range blk.warps {
+		s.schedule(&blk.warps[i], t)
+	}
 	return nil
+}
+
+// newBlock allocates a block's warps, shared memory and scoreboards.
+func (s *sim) newBlock(sm *simSM, blockID int) (*simBlock, error) {
+	l := s.launch
+	nw := l.WarpsPerBlock()
+	blk := &simBlock{
+		sm:     sm,
+		warps:  make([]simWarp, nw),
+		shared: make([]uint32, l.Prog.SharedMemBytes/4),
+	}
+	regs := l.Prog.RegsPerThread
+	regReady := make([]float64, nw*regs)
+	for wi := range blk.warps {
+		lanes := min(l.Block-wi*gpu.WarpSize, gpu.WarpSize)
+		fw, err := barra.NewWarp(l.Prog, blockID, wi, l.Block, l.Grid, lanes, blk.shared, s.mem)
+		if err != nil {
+			return nil, err
+		}
+		blk.warps[wi] = simWarp{fw: fw, block: blk, regReady: regReady[wi*regs : (wi+1)*regs : (wi+1)*regs]}
+	}
+	return blk, nil
 }
 
 func (s *sim) schedule(w *simWarp, t float64) {
 	s.seq++
-	heap.Push(&s.queue, event{t: t, seq: s.seq, warp: w})
+	s.queue.push(event{t: t, issued: w.issued, seq: s.seq, warp: w})
 }
 
 func touchesShared(in *isa.Instruction) bool {
@@ -579,7 +677,8 @@ func (s *sim) arriveBarrier(w *simWarp, t float64) error {
 	}
 	// Release: all waiting warps resume.
 	blk.atBarrier = 0
-	for _, ww := range blk.warps {
+	for i := range blk.warps {
+		ww := &blk.warps[i]
 		if ww.done || !ww.waiting {
 			continue
 		}
@@ -607,15 +706,15 @@ func (s *sim) warpExit(w *simWarp, t float64) error {
 		// by allowing refill when this block has fewer live warps
 		// than a full block and a slot's worth have exited.
 		exited := 0
-		for _, ww := range blk.warps {
-			if ww.done {
+		for i := range blk.warps {
+			if blk.warps[i].done {
 				exited++
 			}
 		}
 		releaseSlot = exited == len(blk.warps)/2 && len(blk.warps) > 1
 	}
 	if blockDone {
-		blk.sm.resident--
+		blk.sm.free = append(blk.sm.free, blk)
 	}
 	if releaseSlot && s.nextBlk < s.launch.Grid {
 		return s.startBlock(blk.sm, t)

@@ -3,6 +3,7 @@ package device
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -520,5 +521,61 @@ func TestUtilizationAndReport(t *testing.T) {
 	var zero Result
 	if i, s, g := zero.Utilization(); i != 0 || s != 0 || g != 0 {
 		t.Error("zero result has nonzero utilization")
+	}
+}
+
+// TestRunAllocsIndependentOfGrid pins the per-slot block reuse: a
+// launch four times as long allocates no more, because every block
+// after the first wave runs in a drained block's storage.
+func TestRunAllocsIndependentOfGrid(t *testing.T) {
+	cfg := smallGPU()
+	prog := smemKernel(4, 1) // 16 KB of shared memory: one block per SM
+	mem := barra.NewMemory(64)
+	allocs := func(grid int) float64 {
+		l := barra.Launch{Prog: prog, Grid: grid, Block: 128}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Run(cfg, l, mem); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	n := 4 * cfg.NumSMs // four waves
+	small, large := allocs(n), allocs(4*n)
+	if large > small {
+		t.Errorf("device.Run allocates %v times for %d blocks but %v for %d: allocations grow with the grid",
+			large, 4*n, small, n)
+	}
+}
+
+// TestEventQueueOrder checks the hole-at-root heap against a linear
+// scan for the least (t, issued, seq) event, over random interleavings
+// of push and pop with many equal times and issued counts.
+func TestEventQueueOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var q eventQueue
+	var ref []event
+	seq := int64(0)
+	for step := 0; step < 20000; step++ {
+		if len(ref) == 0 || rng.Intn(3) > 0 {
+			seq++
+			e := event{t: float64(rng.Intn(16)), issued: int64(rng.Intn(4)), seq: seq}
+			q.push(e)
+			ref = append(ref, e)
+			continue
+		}
+		least := 0
+		for i := range ref {
+			if ref[i].before(&ref[least]) {
+				least = i
+			}
+		}
+		want := ref[least]
+		ref = append(ref[:least], ref[least+1:]...)
+		if got := q.pop(); got != want {
+			t.Fatalf("step %d: pop = %+v, want %+v", step, got, want)
+		}
+		if q.len() != len(ref) {
+			t.Fatalf("step %d: len = %d, want %d", step, q.len(), len(ref))
+		}
 	}
 }

@@ -412,3 +412,15 @@ func TestLoadCalibrationRejectsCorruption(t *testing.T) {
 		t.Error("short shared curve accepted")
 	}
 }
+
+// BenchmarkCalibrate times a cold calibration of the GTX 285: every
+// instruction- and shared-memory microbenchmark on the device
+// simulator.
+func BenchmarkCalibrate(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Calibrate(gpu.GTX285()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
