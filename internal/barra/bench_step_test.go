@@ -49,6 +49,40 @@ func divergentKernel() *isa.Program {
 	return b.MustProgram()
 }
 
+// sregKernel reads special registers as ALU sources: the per-lane
+// %tid and %laneid columns and the warp-uniform %ctaid and %ntid
+// broadcasts.
+func sregKernel() *isa.Program {
+	b := kbuild.New("bench-sreg")
+	r := b.Regs(2)
+	b.S2R(r, isa.SRTid)
+	for i := 0; i < 16; i++ {
+		b.Emit(isa.Instruction{Op: isa.OpIMAD, Guard: isa.PT, Dst: r + 1,
+			SrcA: isa.SR(isa.SRCtaid), SrcB: isa.SR(isa.SRNtid), SrcC: isa.SR(isa.SRTid)})
+		b.Emit(isa.Instruction{Op: isa.OpIADD, Guard: isa.PT, Dst: r,
+			SrcA: isa.SR(isa.SRLane), SrcB: isa.R(r + 1)})
+	}
+	b.Exit()
+	return b.MustProgram()
+}
+
+// f64Kernel is a straight-line DFMA/DADD body over register pairs,
+// the double-precision ops that execute lane by lane.
+func f64Kernel() *isa.Program {
+	b := kbuild.New("bench-f64")
+	x, y, z := b.RegPair(), b.RegPair(), b.RegPair()
+	for _, r := range []isa.Reg{x, y, z} {
+		b.MovImm(r, 0)
+		b.MovImm(r+1, 0x3ff00000) // 1.0
+	}
+	for i := 0; i < 16; i++ {
+		b.DFma(z, x, y, z)
+		b.Emit(isa.Instruction{Op: isa.OpDADD, Guard: isa.PT, Dst: x, SrcA: isa.R(x), SrcB: isa.R(y)})
+	}
+	b.Exit()
+	return b.MustProgram()
+}
+
 func benchWarpStep(b *testing.B, prog *isa.Program) {
 	mem := NewMemory(1 << 12)
 	shared := make([]uint32, 4)
@@ -72,4 +106,6 @@ func benchWarpStep(b *testing.B, prog *isa.Program) {
 func BenchmarkWarpStep(b *testing.B) {
 	b.Run("alu", func(b *testing.B) { benchWarpStep(b, aluKernel()) })
 	b.Run("divergent", func(b *testing.B) { benchWarpStep(b, divergentKernel()) })
+	b.Run("sreg", func(b *testing.B) { benchWarpStep(b, sregKernel()) })
+	b.Run("f64", func(b *testing.B) { benchWarpStep(b, f64Kernel()) })
 }

@@ -42,10 +42,12 @@
 //     escape-analysis regressions across Go releases).
 //
 // The annotated roots are Warp.Step and Warp.stepRun (the per-
-// instruction interpreter), worker.leanBlock (the homogeneous-block
-// lean pass), bank.Sim.Transactions, coalesce.Sim.HalfWarpInto (the
-// per-access memory models), and statsCollector.merge (the per-block
-// stats fold).
+// instruction interpreter), worker.runWarps (the block scheduler of
+// both the live path and the homogeneous-block lean pass),
+// device's sim.stepWarp (the device simulator's issue step),
+// bank.Sim.Transactions, coalesce.Sim.HalfWarpInto (the per-access
+// memory models), and statsCollector.merge (the per-block stats
+// fold).
 //
 // Where a reachable line deliberately allocates — amortized growth
 // into caller-owned scratch, a cold fallback the engine never takes,

@@ -1,7 +1,6 @@
 package barra
 
 import (
-	"fmt"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -396,8 +395,8 @@ func (w *worker) foldEnvelope(a0, lo, hi uint32) {
 // (batched functional execution folding the block signature and
 // logging store undos), then replay on a hit or an unwind-and-re-run
 // on a miss; either way the block's statistics land in the zeroed
-// shard bs. Scheduling (warp order, barrier staging, budget
-// accounting, error cases) mirrors runBlock exactly.
+// shard bs. Both passes are scheduled by runWarps, so warp order,
+// barrier staging, budget accounting and error cases are the same.
 func (w *worker) runBlockEngine(blockID int, bs *blockStats) (int, error) {
 	rs := w.ctx.replay
 	if w.engMisses >= engineFallbackMisses && w.engHits == 0 {
@@ -415,7 +414,7 @@ func (w *worker) runBlockEngine(blockID int, bs *blockStats) (int, error) {
 	// varBS accumulates the block's data-derived (variant) memory
 	// statistics during the lean pass.
 	varBS := w.ctx.stats.shard()
-	barriers, err := w.leanBlock(varBS)
+	barriers, err := w.runWarps(varBS)
 	for _, warp := range w.warps {
 		warp.undo = nil
 	}
@@ -471,130 +470,54 @@ func (w *worker) runBlockEngine(blockID int, bs *blockStats) (int, error) {
 	return barriers, nil
 }
 
-// leanBlock runs the current block functionally to completion,
-// folding the signature and fusing variant memory steps' statistics
-// into varBS. It is runBlock's stepping loop minus the uniform
-// per-step stats work, plus batched stepping: a maximal run of
-// consecutive unguarded, convergent, non-memory instructions executes
-// in one stepRun call. Runs draw their whole budget up front so that
-// run boundaries — which the signature observes — never depend on
-// worker scheduling; only genuine budget exhaustion splits a run.
-//
-//gpuperf:noalloc
-func (w *worker) leanBlock(varBS *blockStats) (int, error) {
-	l := w.ctx.launch
-	e := &w.eng
-	variant := w.ctx.replay.variant
-	stage := 0
-	barriers := 0
-	for {
-		ranAny := false
-		for wi, warp := range w.warps {
-			if warp.Done() || w.atBarrier[wi] {
-				continue
-			}
-			e.fold(sigWarp | uint64(uint32(wi))<<8)
-			for {
-				if !warp.Diverged() {
-					s := &warp.splits[0]
-					if s.pc >= 0 && s.pc < len(warp.meta) {
-						if n := int64(warp.meta[s.pc].run); n > 0 {
-							for n > w.avail {
-								if w.ctx.failed.Load() {
-									return 0, errCancelled
-								}
-								if err := w.ctx.cancelled(); err != nil {
-									return 0, err
-								}
-								got := w.ctx.reserveBudget()
-								if got == 0 {
-									break
-								}
-								w.avail += got
-							}
-							if n > w.avail {
-								n = w.avail // budget nearly gone: split, abort below
-							}
-							if n > 0 {
-								pc := s.pc
-								mask := s.mask
-								if err := warp.stepRun(int(n), &w.info); err != nil {
-									return 0, err
-								}
-								w.avail -= n
-								e.charged += n
-								e.runs++
-								e.instrs += n
-								e.fold(sigRun | uint64(uint32(pc))<<8 | uint64(mask)<<32)
-								e.fold(uint64(n))
-								continue
-							}
-						}
-					}
-				}
-				if w.avail == 0 {
-					if w.ctx.failed.Load() {
-						return 0, errCancelled
-					}
-					if err := w.ctx.cancelled(); err != nil {
-						return 0, err
-					}
-					w.avail = w.ctx.reserveBudget()
-					if w.avail == 0 {
-						return 0, fmt.Errorf("barra: instruction budget exhausted (%d warp instructions across the run) — runaway kernel %q?",
-							w.ctx.maxInstr, l.Prog.Name)
-					}
-				}
-				if err := warp.Step(&w.info); err != nil {
-					return 0, err
-				}
-				w.avail--
-				e.charged++
-				w.foldStep()
-				if variant[w.info.PC] {
-					varBS.step(stage, w.buildTrace())
-				}
-				if w.info.Barrier {
-					w.atBarrier[wi] = true
-					break
-				}
-				if w.info.Done {
-					break
-				}
-			}
-			ranAny = true
+// stepBatch executes the batched run that starts at warp's PC, if
+// one does: a maximal stretch of consecutive unguarded, non-memory
+// instructions runs in one stepRun call while the warp is convergent.
+// Runs draw their whole budget up front so that run boundaries, which
+// the signature observes, never depend on worker scheduling; only
+// genuine budget exhaustion splits a run. It reports false when the
+// instruction at the PC is left to single-stepping.
+func (w *worker) stepBatch(warp *Warp) (bool, error) {
+	if warp.Diverged() {
+		return false, nil
+	}
+	s := &warp.splits[0]
+	if s.pc < 0 || s.pc >= len(warp.meta) {
+		return false, nil
+	}
+	n := int64(warp.meta[s.pc].run)
+	if n == 0 {
+		return false, nil
+	}
+	for n > w.avail {
+		if w.ctx.failed.Load() {
+			return false, errCancelled
 		}
-
-		allDone := true
-		allBlocked := true
-		anyExited := false
-		for wi, warp := range w.warps {
-			if warp.Done() {
-				anyExited = true
-				continue
-			}
-			allDone = false
-			if !w.atBarrier[wi] {
-				allBlocked = false
-			}
+		if err := w.ctx.cancelled(); err != nil {
+			return false, err
 		}
-		if allDone {
+		got := w.ctx.reserveBudget()
+		if got == 0 {
 			break
 		}
-		if allBlocked {
-			if anyExited {
-				return 0, fmt.Errorf("barra: %q: warps wait at a barrier after others exited", l.Prog.Name)
-			}
-			clear(w.atBarrier)
-			e.fold(sigStage)
-			stage++
-			barriers++
-			continue
-		}
-		if !ranAny {
-			return 0, fmt.Errorf("barra: deadlock in %q: warps blocked at a barrier while others exited", l.Prog.Name)
-		}
+		w.avail += got
 	}
-	e.fold(sigStage)
-	return barriers, nil
+	if n > w.avail {
+		n = w.avail // budget nearly gone: split, abort when single-stepping
+	}
+	if n == 0 {
+		return false, nil
+	}
+	pc, mask := s.pc, s.mask
+	if err := warp.stepRun(int(n)); err != nil {
+		return false, err
+	}
+	w.avail -= n
+	e := &w.eng
+	e.charged += n
+	e.runs++
+	e.instrs += n
+	e.fold(sigRun | uint64(uint32(pc))<<8 | uint64(mask)<<32)
+	e.fold(uint64(n))
+	return true, nil
 }

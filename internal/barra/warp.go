@@ -56,10 +56,7 @@ type Warp struct {
 	// the minimum PC each time. There is always at least one.
 	splits []split
 
-	blockID  int
-	warpID   int // within the block
-	blockDim int
-	gridDim  int
+	blockID int
 
 	// shared is the block's shared-memory arena as aligned 32-bit
 	// words (every ISA access is one word).
@@ -76,6 +73,12 @@ type Warp struct {
 	// old value) pair so the engine path can rewind the block on a
 	// replay-signature miss (see replay.go). Nil on the live path.
 	undo *[]uint32
+
+	// sregs holds one 32-lane column per special register, so an
+	// operand reads them like a register. Only %ctaid changes, at
+	// Reset. The columns are cold (read only by instructions with a
+	// special-register operand), so they sit after the hot fields.
+	sregs [isa.NumSRegs][gpu.WarpSize]uint32
 }
 
 // StepInfo reports what one Step executed; it is reused across calls
@@ -114,9 +117,6 @@ type StepInfo struct {
 	Diverged bool
 }
 
-// ActiveLane reports whether lane executed this step.
-func (si *StepInfo) ActiveLane(lane int) bool { return si.Active>>uint(lane)&1 != 0 }
-
 // HalfMask returns the active mask of one half-warp, shifted down to
 // bit 0 (a 16-bit value).
 func (si *StepInfo) HalfMask(half int) LaneMask {
@@ -154,7 +154,7 @@ const maxSplits = 64
 type execKind uint8
 
 const (
-	kindLane execKind = iota // per-lane execution through execLane
+	kindLane execKind = iota // ALU or memory instruction, run by exec
 	kindBra
 	kindExit
 	kindBar
@@ -166,11 +166,6 @@ type instrMeta struct {
 	class   isa.Class
 	kind    execKind
 	hasSmem bool // reads a shared-memory ALU operand
-	// fast marks instructions execFast handles with hoisted operand
-	// views — every opcode of the case-study kernels. Instructions
-	// with special-register operands or double-precision register
-	// pairs fall back to the per-lane execLane path.
-	fast bool
 	// run is the length of the maximal batched run starting at this
 	// PC: consecutive per-lane instructions that are unguarded (so
 	// the active mask is the split mask throughout) and touch no
@@ -180,26 +175,12 @@ type instrMeta struct {
 	run int32
 }
 
-// fastOp reports whether execFast implements op.
-func fastOp(op isa.Opcode) bool {
-	switch op {
-	case isa.OpNOP, isa.OpMOV, isa.OpIADD, isa.OpISUB, isa.OpIMUL, isa.OpIMAD,
-		isa.OpIMIN, isa.OpIMAX, isa.OpSHL, isa.OpSHR, isa.OpAND, isa.OpOR,
-		isa.OpXOR, isa.OpISETP, isa.OpFADD, isa.OpFSUB, isa.OpFMUL, isa.OpFMAD,
-		isa.OpFNMAD, isa.OpFMIN, isa.OpFMAX, isa.OpFSETP, isa.OpRCP, isa.OpRSQ,
-		isa.OpSIN, isa.OpCOS, isa.OpLG2, isa.OpEX2,
-		isa.OpGLD, isa.OpGST, isa.OpSLD, isa.OpSST:
-		return true
-	}
-	return false
-}
-
 // predecode builds the per-PC metadata of p. It runs once per
 // NewWarp — a few compares per instruction, noise next to the many
 // times each instruction executes — so no cross-program cache is
 // needed (and none retains programs beyond their run).
 func predecode(p *isa.Program) []instrMeta {
-	meta := make([]instrMeta, len(p.Code))
+	meta := make([]instrMeta, len(p.Code)) //gpuperf:alloc-ok cold: once per warp context, which both simulators reuse across blocks
 	for i := range p.Code {
 		in := &p.Code[i]
 		md := instrMeta{class: isa.ClassOf(in.Op), kind: kindLane}
@@ -213,9 +194,6 @@ func predecode(p *isa.Program) []instrMeta {
 		}
 		md.hasSmem = in.SrcA.Kind == isa.KindSmem ||
 			in.SrcB.Kind == isa.KindSmem || in.SrcC.Kind == isa.KindSmem
-		md.fast = fastOp(in.Op) &&
-			in.SrcA.Kind != isa.KindSReg && in.SrcB.Kind != isa.KindSReg &&
-			in.SrcC.Kind != isa.KindSReg
 		meta[i] = md
 	}
 	for i := len(meta) - 1; i >= 0; i-- {
@@ -237,18 +215,23 @@ func NewWarp(prog *isa.Program, blockID, warpID, blockDim, gridDim, lanes int, s
 		return nil, fmt.Errorf("barra: warp with %d lanes", lanes)
 	}
 	w := &Warp{
-		prog:     prog,
-		meta:     predecode(prog),
-		regs:     make([]uint32, prog.RegsPerThread*gpu.WarpSize),
-		exists:   laneBits(lanes),
-		blockID:  blockID,
-		warpID:   warpID,
-		blockDim: blockDim,
-		gridDim:  gridDim,
-		shared:   shared,
-		global:   global,
+		prog:    prog,
+		meta:    predecode(prog),
+		regs:    make([]uint32, prog.RegsPerThread*gpu.WarpSize), //gpuperf:alloc-ok cold: once per warp context, which both simulators reuse across blocks
+		exists:  laneBits(lanes),
+		blockID: blockID,
+		shared:  shared,
+		global:  global,
 	}
-	w.splits = []split{{mask: w.exists, pc: 0}}
+	w.splits = []split{{mask: w.exists, pc: 0}} //gpuperf:alloc-ok cold: once per warp context, which both simulators reuse across blocks
+	for l := 0; l < gpu.WarpSize; l++ {
+		w.sregs[isa.SRTid][l] = uint32(warpID*gpu.WarpSize + l)
+		w.sregs[isa.SRNtid][l] = uint32(blockDim)
+		w.sregs[isa.SRNctaid][l] = uint32(gridDim)
+		w.sregs[isa.SRLane][l] = uint32(l)
+		w.sregs[isa.SRWarp][l] = uint32(warpID)
+	}
+	w.setCtaid(blockID)
 	return w, nil
 }
 
@@ -260,12 +243,20 @@ func NewWarp(prog *isa.Program, blockID, warpID, blockDim, gridDim, lanes int, s
 // between blocks).
 func (w *Warp) Reset(blockID int) {
 	w.blockID = blockID
+	w.setCtaid(blockID)
 	w.done = false
 	clear(w.regs)
 	w.preds = [isa.NumPreds]LaneMask{}
 	w.splits = w.splits[:1]
 	w.splits[0] = split{mask: w.exists, pc: 0}
 	w.smemOpVal = 0
+}
+
+func (w *Warp) setCtaid(blockID int) {
+	c := &w.sregs[isa.SRCtaid]
+	for l := range c {
+		c[l] = uint32(blockID)
+	}
 }
 
 // Diverged reports whether the warp currently executes on more than
@@ -305,38 +296,6 @@ func (w *Warp) PC() int { return w.splits[w.current()].pc }
 func (w *Warp) reg(r isa.Reg, lane int) uint32 { return w.regs[int(r)*gpu.WarpSize+lane] }
 func (w *Warp) setReg(r isa.Reg, lane int, v uint32) {
 	w.regs[int(r)*gpu.WarpSize+lane] = v
-}
-
-func (w *Warp) sreg(s isa.SReg, lane int) uint32 {
-	switch s {
-	case isa.SRTid:
-		return uint32(w.warpID*gpu.WarpSize + lane)
-	case isa.SRCtaid:
-		return uint32(w.blockID)
-	case isa.SRNtid:
-		return uint32(w.blockDim)
-	case isa.SRNctaid:
-		return uint32(w.gridDim)
-	case isa.SRLane:
-		return uint32(lane)
-	case isa.SRWarp:
-		return uint32(w.warpID)
-	}
-	return 0
-}
-
-func (w *Warp) operand(o isa.Operand, imm uint32, lane int) uint32 {
-	switch o.Kind {
-	case isa.KindReg:
-		return w.reg(o.Reg, lane)
-	case isa.KindImm:
-		return imm
-	case isa.KindSReg:
-		return w.sreg(o.SReg, lane)
-	case isa.KindSmem:
-		return w.smemOpVal
-	}
-	return 0
 }
 
 func (w *Warp) f64(r isa.Reg, lane int) float64 {
@@ -426,17 +385,8 @@ func (w *Warp) Step(info *StepInfo) error {
 		info.SmemAddr = in.Imm
 	}
 
-	if md.fast {
-		if err := w.execFast(in, active, pc, &info.Addr); err != nil {
-			return err
-		}
-	} else {
-		for m := active; m != 0; m &= m - 1 {
-			lane := bits.TrailingZeros32(m)
-			if err := w.execLane(in, lane, info); err != nil {
-				return fmt.Errorf("barra: %q pc=%d lane=%d: %w", w.prog.Name, pc, lane, err)
-			}
-		}
+	if err := w.exec(in, active, pc, &info.Addr); err != nil {
+		return err
 	}
 	w.splits[cur].pc++
 	return nil
@@ -447,11 +397,11 @@ func (w *Warp) Step(info *StepInfo) error {
 // convergent and n ≤ the predecoded run length at the PC, so every
 // instruction executes with the full split mask and no control
 // transfer, memory access, or divergence change can occur: the only
-// bookkeeping per instruction is the shared-operand broadcast. info
-// is used only as lane-address scratch by the exec fallback.
+// bookkeeping per instruction is the shared-operand broadcast. A run
+// holds no memory instruction, so exec records no lane addresses.
 //
 //gpuperf:noalloc
-func (w *Warp) stepRun(n int, info *StepInfo) error {
+func (w *Warp) stepRun(n int) error {
 	s := &w.splits[0]
 	pc := s.pc
 	mask := s.mask
@@ -465,17 +415,8 @@ func (w *Warp) stepRun(n int, info *StepInfo) error {
 			}
 			w.smemOpVal = v
 		}
-		if md.fast {
-			if err := w.execFast(in, mask, pc+k, &info.Addr); err != nil {
-				return err
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros32(m)
-				if err := w.execLane(in, lane, info); err != nil {
-					return fmt.Errorf("barra: %q pc=%d lane=%d: %w", w.prog.Name, pc+k, lane, err)
-				}
-			}
+		if err := w.exec(in, mask, pc+k, nil); err != nil {
+			return err
 		}
 	}
 	s.pc = pc + n
@@ -483,8 +424,9 @@ func (w *Warp) stepRun(n int, info *StepInfo) error {
 }
 
 // view is a hoisted per-lane operand: base slice s indexed l&m, where
-// m is WarpSize-1 for a per-lane register column and 0 for a
-// broadcast scalar (immediate, shared-memory operand, absent source).
+// m is WarpSize-1 for a per-lane column (register or special
+// register) and 0 for a broadcast scalar (immediate, shared-memory
+// operand, absent source).
 type view struct {
 	s []uint32
 	m int
@@ -509,23 +451,25 @@ func (w *Warp) srcView(o isa.Operand, imm uint32, k int) view {
 		w.scal[k][0] = imm
 	case isa.KindSmem:
 		w.scal[k][0] = w.smemOpVal
+	case isa.KindSReg:
+		return view{w.sregs[o.SReg][:], gpu.WarpSize - 1}
 	default:
 		w.scal[k][0] = 0
 	}
 	return view{w.scal[k][:1], 0}
 }
 
-// execFast executes one predecoded instruction for every active lane
+// exec executes one ALU or memory instruction for every active lane,
 // with the opcode dispatch and operand resolution hoisted out of the
-// lane loop — the semantic twin of execLane (which remains the
-// fallback for special-register operands and double-precision ops).
-// addrs receives per-lane byte addresses for memory instructions.
-func (w *Warp) execFast(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.WarpSize]uint32) error {
+// lane loop; it is the only definition of each opcode's semantics.
+// addrs receives per-lane byte addresses for memory instructions (it
+// may be nil for any other instruction).
+func (w *Warp) exec(in *isa.Instruction, active LaneMask, pc int, addrs *[gpu.WarpSize]uint32) error {
 	const ws = gpu.WarpSize
 	switch in.Op {
 	case isa.OpNOP:
 
-	case isa.OpMOV:
+	case isa.OpMOV, isa.OpS2R:
 		d := w.regCol(in.Dst)
 		a := w.srcView(in.SrcA, in.Imm, 0)
 		if active == ^LaneMask(0) {
@@ -854,6 +798,21 @@ func (w *Warp) execFast(in *isa.Instruction, active LaneMask, pc int, addrs *[gp
 				d[l] = math.Float32bits(float32(math.Exp2(float64(a.fat(l)))))
 			}
 		}
+	case isa.OpDADD, isa.OpDMUL, isa.OpDFMA:
+		// Doubles occupy register pairs, so they run lane by lane; each
+		// lane reads and writes only its own pair.
+		for m := active; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			x, y := w.srcF64(in.SrcA, l), w.srcF64(in.SrcB, l)
+			switch in.Op {
+			case isa.OpDADD:
+				w.setF64(in.Dst, l, x+y)
+			case isa.OpDMUL:
+				w.setF64(in.Dst, l, x*y)
+			default:
+				w.setF64(in.Dst, l, x*y+w.srcF64(in.SrcC, l))
+			}
+		}
 
 	case isa.OpGLD:
 		d := w.regCol(in.Dst)
@@ -940,7 +899,7 @@ func (w *Warp) execFast(in *isa.Instruction, active LaneMask, pc int, addrs *[gp
 			}
 		}
 	default:
-		return fmt.Errorf("barra: %q pc=%d: unimplemented fast opcode %s", w.prog.Name, pc, in.Op)
+		return fmt.Errorf("barra: %q pc=%d: unimplemented opcode %s", w.prog.Name, pc, in.Op)
 	}
 	return nil
 }
@@ -978,124 +937,6 @@ func (w *Warp) branch(in *isa.Instruction, info *StepInfo, cur int) error {
 			pc, w.prog.Name)
 	}
 	return nil
-}
-
-func (w *Warp) execLane(in *isa.Instruction, lane int, info *StepInfo) error {
-	a := w.operand(in.SrcA, in.Imm, lane)
-	b := w.operand(in.SrcB, in.Imm, lane)
-	c := w.operand(in.SrcC, in.Imm, lane)
-	fa, fb, fc := math.Float32frombits(a), math.Float32frombits(b), math.Float32frombits(c)
-
-	switch in.Op {
-	case isa.OpNOP:
-	case isa.OpMOV, isa.OpS2R:
-		w.setReg(in.Dst, lane, a)
-	case isa.OpIADD:
-		w.setReg(in.Dst, lane, a+b)
-	case isa.OpISUB:
-		w.setReg(in.Dst, lane, a-b)
-	case isa.OpIMUL:
-		w.setReg(in.Dst, lane, a*b)
-	case isa.OpIMAD:
-		w.setReg(in.Dst, lane, a*b+c)
-	case isa.OpIMIN:
-		w.setReg(in.Dst, lane, uint32(min(int32(a), int32(b))))
-	case isa.OpIMAX:
-		w.setReg(in.Dst, lane, uint32(max(int32(a), int32(b))))
-	case isa.OpSHL:
-		w.setReg(in.Dst, lane, a<<(b&31))
-	case isa.OpSHR:
-		w.setReg(in.Dst, lane, a>>(b&31))
-	case isa.OpAND:
-		w.setReg(in.Dst, lane, a&b)
-	case isa.OpOR:
-		w.setReg(in.Dst, lane, a|b)
-	case isa.OpXOR:
-		w.setReg(in.Dst, lane, a^b)
-	case isa.OpISETP:
-		w.setPred(in.PDst, lane, icmp(in.Cmp, int32(a), int32(b)))
-	case isa.OpFADD:
-		w.setReg(in.Dst, lane, math.Float32bits(fa+fb))
-	case isa.OpFSUB:
-		w.setReg(in.Dst, lane, math.Float32bits(fa-fb))
-	case isa.OpFMUL:
-		w.setReg(in.Dst, lane, math.Float32bits(fa*fb))
-	case isa.OpFMAD:
-		w.setReg(in.Dst, lane, math.Float32bits(fa*fb+fc))
-	case isa.OpFNMAD:
-		w.setReg(in.Dst, lane, math.Float32bits(fc-fa*fb))
-	case isa.OpFMIN:
-		w.setReg(in.Dst, lane, math.Float32bits(float32(math.Min(float64(fa), float64(fb)))))
-	case isa.OpFMAX:
-		w.setReg(in.Dst, lane, math.Float32bits(float32(math.Max(float64(fa), float64(fb)))))
-	case isa.OpFSETP:
-		w.setPred(in.PDst, lane, fcmp(in.Cmp, fa, fb))
-	case isa.OpRCP:
-		w.setReg(in.Dst, lane, math.Float32bits(1/fa))
-	case isa.OpRSQ:
-		w.setReg(in.Dst, lane, math.Float32bits(float32(1/math.Sqrt(float64(fa)))))
-	case isa.OpSIN:
-		w.setReg(in.Dst, lane, math.Float32bits(float32(math.Sin(float64(fa)))))
-	case isa.OpCOS:
-		w.setReg(in.Dst, lane, math.Float32bits(float32(math.Cos(float64(fa)))))
-	case isa.OpLG2:
-		w.setReg(in.Dst, lane, math.Float32bits(float32(math.Log2(float64(fa)))))
-	case isa.OpEX2:
-		w.setReg(in.Dst, lane, math.Float32bits(float32(math.Exp2(float64(fa)))))
-	case isa.OpDADD:
-		w.setF64(in.Dst, lane, w.srcF64(in.SrcA, lane)+w.srcF64(in.SrcB, lane))
-	case isa.OpDMUL:
-		w.setF64(in.Dst, lane, w.srcF64(in.SrcA, lane)*w.srcF64(in.SrcB, lane))
-	case isa.OpDFMA:
-		x := w.srcF64(in.SrcA, lane)
-		y := w.srcF64(in.SrcB, lane)
-		z := w.srcF64(in.SrcC, lane)
-		w.setF64(in.Dst, lane, x*y+z)
-	case isa.OpGLD:
-		addr := a + in.Imm
-		info.Addr[lane] = addr
-		v, err := w.global.load32(addr, w.blockID)
-		if err != nil {
-			return err
-		}
-		w.setReg(in.Dst, lane, v)
-	case isa.OpGST:
-		addr := a + in.Imm
-		info.Addr[lane] = addr
-		if u := w.undo; u != nil {
-			if i := addr >> 2; addr&3 == 0 && int(i) < len(w.global.words) {
-				*u = append(*u, i, w.global.words[i]) //gpuperf:alloc-ok undo log reuses per-worker capacity across blocks; growth amortizes to zero
-			}
-		}
-		if err := w.global.store32(addr, b, w.blockID); err != nil {
-			return err
-		}
-	case isa.OpSLD:
-		addr := a + in.Imm
-		info.Addr[lane] = addr
-		v, err := w.sharedLoad(addr)
-		if err != nil {
-			return err
-		}
-		w.setReg(in.Dst, lane, v)
-	case isa.OpSST:
-		addr := a + in.Imm
-		info.Addr[lane] = addr
-		if err := w.sharedStore(addr, b); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unimplemented opcode %s", in.Op)
-	}
-	return nil
-}
-
-func (w *Warp) setPred(p isa.Pred, lane int, v bool) {
-	if v {
-		w.preds[p] |= 1 << uint(lane)
-	} else {
-		w.preds[p] &^= 1 << uint(lane)
-	}
 }
 
 func (w *Warp) srcF64(o isa.Operand, lane int) float64 {

@@ -172,14 +172,34 @@ func (w *worker) initBlock(blockID int, bs *blockStats) error {
 	return nil
 }
 
-// runBlock executes one block to completion, recording its
-// statistics into the zeroed shard bs, and returns its barrier count.
+// runBlock executes one block to completion on the live path,
+// recording its statistics into the zeroed shard bs, and returns its
+// barrier count.
 func (w *worker) runBlock(blockID int, bs *blockStats) (int, error) {
 	if err := w.initBlock(blockID, bs); err != nil {
 		return 0, err
 	}
-	l := w.ctx.launch
+	return w.runWarps(nil)
+}
 
+// runWarps schedules the bound block's warps to completion and
+// returns its barrier count: each warp in turn runs until it waits at
+// a barrier or exits, and a barrier releases once every warp waits at
+// it. It is the one scheduler of both block passes. With varBS nil it
+// is the live path: every step records into the block's shard. With
+// varBS non-nil it is the replay lean pass (see replay.go): batched
+// runs execute where they can, every step folds into the block
+// signature instead of being recorded, and only variant memory steps'
+// statistics are computed, into varBS.
+//
+//gpuperf:noalloc
+func (w *worker) runWarps(varBS *blockStats) (int, error) {
+	l := w.ctx.launch
+	lean := varBS != nil
+	var variant []bool
+	if lean {
+		variant = w.ctx.replay.variant
+	}
 	stage := 0
 	barriers := 0
 	for {
@@ -188,8 +208,20 @@ func (w *worker) runBlock(blockID int, bs *blockStats) (int, error) {
 			if warp.Done() || w.atBarrier[wi] {
 				continue
 			}
+			if lean {
+				w.eng.fold(sigWarp | uint64(uint32(wi))<<8)
+			}
 			// Run this warp until it blocks.
 			for {
+				if lean {
+					ran, err := w.stepBatch(warp)
+					if err != nil {
+						return 0, err
+					}
+					if ran {
+						continue
+					}
+				}
 				if w.avail == 0 {
 					if w.ctx.failed.Load() {
 						return 0, errCancelled
@@ -207,7 +239,15 @@ func (w *worker) runBlock(blockID int, bs *blockStats) (int, error) {
 					return 0, err
 				}
 				w.avail--
-				w.record(stage, wi)
+				if lean {
+					w.eng.charged++
+					w.foldStep()
+					if variant[w.info.PC] {
+						varBS.step(stage, w.buildTrace())
+					}
+				} else {
+					w.record(stage, wi)
+				}
 				if w.info.Barrier {
 					w.atBarrier[wi] = true
 					break
@@ -243,7 +283,7 @@ func (w *worker) runBlock(blockID int, bs *blockStats) (int, error) {
 			}
 			// Barrier release: everyone advances to the next stage.
 			clear(w.atBarrier)
-			w.stageEnd(stage)
+			w.stageEnd(stage, lean)
 			stage++
 			barriers++
 			continue
@@ -252,13 +292,18 @@ func (w *worker) runBlock(blockID int, bs *blockStats) (int, error) {
 			return 0, fmt.Errorf("barra: deadlock in %q: warps blocked at a barrier while others exited", l.Prog.Name)
 		}
 	}
-	w.stageEnd(stage)
+	w.stageEnd(stage, lean)
 	return barriers, nil
 }
 
-// stageEnd closes a stage in the block's stats shard and resets the
-// per-warp work counters.
-func (w *worker) stageEnd(stage int) {
+// stageEnd closes a stage. The live path records it into the block's
+// stats shard and resets the per-warp work counters; the lean pass
+// folds it into the block signature.
+func (w *worker) stageEnd(stage int, lean bool) {
+	if lean {
+		w.eng.fold(sigStage)
+		return
+	}
 	w.bs.stageEnd(stage, w.workCount)
 	clear(w.workCount)
 }

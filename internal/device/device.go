@@ -167,7 +167,7 @@ func (q *eventQueue) push(e event) {
 		q.down(e)
 		return
 	}
-	q.ev = append(q.ev, e)
+	q.ev = append(q.ev, e) //gpuperf:alloc-ok the heap holds at most one event per resident warp; growth stops once every SM slot has filled
 	q.up(len(q.ev)-1, e)
 }
 
@@ -442,11 +442,11 @@ func (s *sim) newBlock(sm *simSM, blockID int) (*simBlock, error) {
 	nw := l.WarpsPerBlock()
 	blk := &simBlock{
 		sm:     sm,
-		warps:  make([]simWarp, nw),
-		shared: make([]uint32, l.Prog.SharedMemBytes/4),
+		warps:  make([]simWarp, nw),                     //gpuperf:alloc-ok cold: once per SM slot, then reused through the free list
+		shared: make([]uint32, l.Prog.SharedMemBytes/4), //gpuperf:alloc-ok cold: once per SM slot, then reused through the free list
 	}
 	regs := l.Prog.RegsPerThread
-	regReady := make([]float64, nw*regs)
+	regReady := make([]float64, nw*regs) //gpuperf:alloc-ok cold: once per SM slot, then reused through the free list
 	for wi := range blk.warps {
 		lanes := min(l.Block-wi*gpu.WarpSize, gpu.WarpSize)
 		fw, err := barra.NewWarp(l.Prog, blockID, wi, l.Block, l.Grid, lanes, blk.shared, s.mem)
@@ -479,22 +479,20 @@ func (s *sim) depsReady(w *simWarp, in *isa.Instruction) float64 {
 	if touchesShared(in) && w.smemReady > t {
 		t = w.smemReady
 	}
-	consider := func(o isa.Operand) {
+	dbl := isa.IsDouble(in.Op)
+	for _, o := range [...]isa.Operand{in.SrcA, in.SrcB, in.SrcC} {
 		if o.Kind != isa.KindReg {
-			return
+			continue
 		}
 		if r := w.regReady[o.Reg]; r > t {
 			t = r
 		}
-		if isa.IsDouble(in.Op) && int(o.Reg)+1 < len(w.regReady) {
+		if dbl && int(o.Reg)+1 < len(w.regReady) {
 			if r := w.regReady[o.Reg+1]; r > t {
 				t = r
 			}
 		}
 	}
-	consider(in.SrcA)
-	consider(in.SrcB)
-	consider(in.SrcC)
 	if in.Guard != isa.PT {
 		if r := w.predReady[in.Guard]; r > t {
 			t = r
@@ -503,6 +501,7 @@ func (s *sim) depsReady(w *simWarp, in *isa.Instruction) float64 {
 	return t
 }
 
+//gpuperf:noalloc
 func (s *sim) stepWarp(w *simWarp, now float64) error {
 	if s.issued >= s.budget {
 		return fmt.Errorf("device: instruction budget exhausted (%d) — runaway kernel %q?",
@@ -714,7 +713,7 @@ func (s *sim) warpExit(w *simWarp, t float64) error {
 		releaseSlot = exited == len(blk.warps)/2 && len(blk.warps) > 1
 	}
 	if blockDone {
-		blk.sm.free = append(blk.sm.free, blk)
+		blk.sm.free = append(blk.sm.free, blk) //gpuperf:alloc-ok the free list holds at most the SM's resident blocks; growth stops once every slot has drained once
 	}
 	if releaseSlot && s.nextBlk < s.launch.Grid {
 		return s.startBlock(blk.sm, t)
