@@ -12,8 +12,8 @@ import (
 
 // TestRandomProgramDifferential cross-checks the warp executor
 // against an independent scalar interpreter on randomly generated
-// straight-line predicated programs: every thread's final register
-// file must agree. This exercises operand resolution, predication,
+// predicated programs with forward branches: every thread's final
+// register file must agree. This exercises operand resolution, predication,
 // divergent forward branches, special registers (as ALU sources and
 // store values, not only through S2R), double precision on register
 // pairs and the integer ALU far beyond the hand-written kernels.
@@ -157,8 +157,9 @@ func randomALUProgram(rng *rand.Rand) (*isa.Program, uint32) {
 			b.IAddImm(dst, dst, uint32(rng.Intn(64)))
 			b.Guarded(dup, p, rng.Intn(2) == 0)
 		}
-		// A sixth branch over a few operations on a data-dependent
-		// predicate: the warp diverges and reconverges at the target.
+		// A sixth of the iterations branch over a few operations on a
+		// data-dependent predicate: the warp diverges and reconverges
+		// at the branch target.
 		if rng.Intn(6) == 0 {
 			p := isa.Pred(rng.Intn(isa.NumPreds))
 			b.ISetp(p, isa.CmpOp(rng.Intn(isa.NumCmps)), pick(), pick())

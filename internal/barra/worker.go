@@ -196,10 +196,6 @@ func (w *worker) runBlock(blockID int, bs *blockStats) (int, error) {
 func (w *worker) runWarps(varBS *blockStats) (int, error) {
 	l := w.ctx.launch
 	lean := varBS != nil
-	var variant []bool
-	if lean {
-		variant = w.ctx.replay.variant
-	}
 	stage := 0
 	barriers := 0
 	for {
@@ -242,7 +238,7 @@ func (w *worker) runWarps(varBS *blockStats) (int, error) {
 				if lean {
 					w.eng.charged++
 					w.foldStep()
-					if variant[w.info.PC] {
+					if w.ctx.replay.variant[w.info.PC] {
 						varBS.step(stage, w.buildTrace())
 					}
 				} else {

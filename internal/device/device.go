@@ -167,7 +167,7 @@ func (q *eventQueue) push(e event) {
 		q.down(e)
 		return
 	}
-	q.ev = append(q.ev, e) //gpuperf:alloc-ok the heap holds at most one event per resident warp; growth stops once every SM slot has filled
+	q.ev = append(q.ev, e) //gpuperf:alloc-ok one event per resident warp at most, so capacity stops growing once the SMs have filled
 	q.up(len(q.ev)-1, e)
 }
 
@@ -501,6 +501,9 @@ func (s *sim) depsReady(w *simWarp, in *isa.Instruction) float64 {
 	return t
 }
 
+// stepWarp issues w's next instruction at cycle now, or reschedules
+// w for when its operands and functional unit are ready.
+//
 //gpuperf:noalloc
 func (s *sim) stepWarp(w *simWarp, now float64) error {
 	if s.issued >= s.budget {
@@ -713,7 +716,7 @@ func (s *sim) warpExit(w *simWarp, t float64) error {
 		releaseSlot = exited == len(blk.warps)/2 && len(blk.warps) > 1
 	}
 	if blockDone {
-		blk.sm.free = append(blk.sm.free, blk) //gpuperf:alloc-ok the free list holds at most the SM's resident blocks; growth stops once every slot has drained once
+		blk.sm.free = append(blk.sm.free, blk) //gpuperf:alloc-ok bounded by the blocks one SM holds at once; capacity is reused after that
 	}
 	if releaseSlot && s.nextBlk < s.launch.Grid {
 		return s.startBlock(blk.sm, t)
